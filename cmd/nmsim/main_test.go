@@ -36,9 +36,6 @@ func TestValidate(t *testing.T) {
 		{"valid zipf csv", []string{"-dist", "zipf", "-format", "csv"}, ""},
 		{"valid par", []string{"-par", "8"}, ""},
 		{"valid par auto", []string{"-par", "0"}, ""},
-		{"bad shards", []string{"-shards", "-2"}, "-shards"},
-		{"valid shards", []string{"-shards", "4"}, ""},
-		{"valid shards auto", []string{"-shards", "-1"}, ""},
 		{"valid profiles", []string{"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, ""},
 		{"valid server", []string{"-server", "http://127.0.0.1:8080"}, ""},
 		{"valid server with timeout", []string{"-server", "http://127.0.0.1:8080", "-job-timeout", "1m"}, ""},
@@ -74,11 +71,13 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestParseFlagsUnknown confirms unknown flags fail at parse time.
+// TestParseFlagsUnknown confirms unknown flags, including the removed
+// -shards, fail at parse time.
 func TestParseFlagsUnknown(t *testing.T) {
-	fs := []string{"-frobnicate"}
-	if _, _, err := parseFlags(fs); err == nil {
-		t.Fatalf("parseFlags(%v) = nil, want error", fs)
+	for _, args := range [][]string{{"-frobnicate"}, {"-shards", "2"}} {
+		if _, _, err := parseFlags(args); err == nil {
+			t.Errorf("parseFlags(%v) = nil, want error", args)
+		}
 	}
 }
 

@@ -42,6 +42,11 @@ const (
 	exitUsage = 2
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open
+// indefinitely. Bodies are not bounded: trace uploads are large by design.
+const readHeaderTimeout = 10 * time.Second
+
 // options holds every flag value; validation is separated from parsing so
 // bad combinations fail fast with a usage hint and are testable.
 type options struct {
@@ -108,7 +113,7 @@ func run(ctx context.Context, o options, lis net.Listener, out io.Writer) error 
 		Slice:        o.slice,
 		MaxEvents:    o.maxEvents,
 	})
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(out, "nmsimd: listening on %s\n", lis.Addr())
 	// context.AfterFunc is the shutdown trigger (the runtime runs the
 	// callback on its own goroutine — this package, like the rest of the

@@ -8,11 +8,18 @@
 //	nmtrace replay  -i nmsort.nmt3 -near 16
 //	nmtrace info    -i nmsort.nmt3
 //	nmtrace stat    -i nmsort.nmt3
+//	nmtrace check   nmsort.trace.json [more.trace.json ...]
 //
 // Trace files come in two serializations sharing one content digest: the
 // row-oriented v2 stream (.nmt) and the columnar v3 layout (.nmt3), which
 // replays straight from the file without decoding into memory. Every
 // subcommand sniffs the format from the file, not the extension.
+//
+// check is the odd one out: it validates Chrome trace-event JSON (nmsim's
+// -telemetry-out, or any other trace-event source). Each file must parse as
+// a trace-event container with a non-empty traceEvents array whose entries
+// all carry a phase and a name, which proves the export is loadable before
+// anyone drags it into Perfetto. It exits 1 if any file fails.
 package main
 
 import (
@@ -28,6 +35,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -48,6 +56,13 @@ func main() {
 		info(os.Args[2:])
 	case "stat":
 		stat(os.Args[2:])
+	case "check":
+		if len(os.Args) < 3 {
+			usage()
+		}
+		if !check(os.Args[2:], os.Stdout, os.Stderr) {
+			os.Exit(1)
+		}
 	default:
 		usage()
 	}
@@ -60,6 +75,7 @@ func usage() {
   nmtrace replay  -i file [-cores n] [-near channels] [-sp MiB]
   nmtrace info    -i file
   nmtrace stat    -i file
+  nmtrace check   file.trace.json [more.trace.json ...]
 `)
 	os.Exit(2)
 }
@@ -83,17 +99,9 @@ func record(args []string) {
 	if err != nil {
 		log.Fatalf("nmtrace record: %v", err)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatalf("nmtrace record: %v", err)
-	}
-	defer f.Close()
-	nBytes, err := res.Trace.WriteTo(f)
+	nBytes, err := trace.WriteFileAtomic(*out, res.Trace)
 	if err != nil {
 		log.Fatalf("nmtrace record: writing trace: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatalf("nmtrace record: %v", err)
 	}
 	fmt.Printf("recorded %s: %d threads, %d ops, %d bytes (%.1f bits/op)\n",
 		*alg, len(res.Trace.Streams), res.Trace.Ops(), nBytes,
@@ -183,7 +191,7 @@ func convertFile(in, out, to string) error {
 	default:
 		return fmt.Errorf("unknown target serialization %q (want v2 or v3)", to)
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	if _, err := trace.WriteFileAtomic(out, bytes.NewReader(data)); err != nil {
 		return err
 	}
 	d, err := src.Digest()
@@ -249,6 +257,25 @@ func statFile(w io.Writer, path string) error {
 			s.Thread, s.Column, s.Offset, s.Bytes, col.Shift(s.Thread))
 	}
 	return nil
+}
+
+// check validates each Chrome trace-event JSON file, reporting per-file
+// verdicts, and returns whether every file passed.
+func check(paths []string, out, errw io.Writer) bool {
+	ok := true
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = telemetry.ValidateChromeJSON(data)
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "nmtrace check: %s: %v\n", path, err)
+			ok = false
+			continue
+		}
+		fmt.Fprintf(out, "%s: ok\n", path)
+	}
+	return ok
 }
 
 func minInt(a, b int) int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -117,6 +118,56 @@ func TestConvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConvertKeepsLiveMappingIntact: converting onto the path of a trace
+// that is open (mapped MAP_SHARED) must not touch the mapped bytes. The
+// old mapping still verifies against its own digest after a different,
+// smaller trace is written over its path; an in-place truncate would
+// instead fault on the pages past the new end of file or change the bytes
+// under the memoized digest.
+func TestConvertKeepsLiveMappingIntact(t *testing.T) {
+	dir := t.TempDir()
+	big, small := filepath.Join(dir, "big.nmt"), filepath.Join(dir, "small.nmt")
+	target := filepath.Join(dir, "live.nmt3")
+	writeV2(t, testTrace(t), big)
+	rec := trace.NewRecorder(1, trace.L1Geometry{Capacity: 4 * 1024, Ways: 4, LineSize: 64}, trace.DefaultCosts())
+	rec.Thread(0).Load(addr.FarBase, 8)
+	writeV2(t, rec.Finish(), small)
+
+	if err := convertFile(big, target, ""); err != nil {
+		t.Fatal(err)
+	}
+	live, err := trace.Open(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	want, _ := live.Digest()
+	if err := convertFile(small, target, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("reading the live mapping faulted after the overwrite: %v", r)
+		}
+	}()
+	if err := live.Verify(); err != nil {
+		t.Fatalf("live mapping no longer verifies after the overwrite: %v", err)
+	}
+	if got, _ := live.Digest(); got != want {
+		t.Fatalf("live digest %016x, want %016x", got, want)
+	}
+	replaced, err := trace.Open(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replaced.Close()
+	if got, _ := replaced.Digest(); got == want {
+		t.Fatal("the overwrite did not replace the file at the path")
+	}
+}
+
 // TestConvertRejectsInvalid: conversion must refuse a trace that fails
 // validation rather than propagate it into the other serialization.
 func TestConvertRejectsInvalid(t *testing.T) {
@@ -164,5 +215,40 @@ func TestStatFile(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("v3 stat output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestCheck pins the Chrome trace-event validator behind nmtrace check:
+// per-file verdicts, a failing file fails the run, a missing file too.
+func TestCheck(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.trace.json")
+	bad := filepath.Join(dir, "bad.trace.json")
+	if err := os.WriteFile(good, []byte(`{"traceEvents":[{"ph":"X","name":"p","ts":"0","dur":"1","pid":1,"tid":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(`{"traceEvents":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errw strings.Builder
+	if !check([]string{good}, &out, &errw) {
+		t.Errorf("valid file rejected: %s", errw.String())
+	}
+	if !strings.Contains(out.String(), "good.trace.json: ok") {
+		t.Errorf("verdict missing: %q", out.String())
+	}
+
+	out.Reset()
+	errw.Reset()
+	if check([]string{good, bad}, &out, &errw) {
+		t.Error("invalid file accepted")
+	}
+	if !strings.Contains(out.String(), "ok") || !strings.Contains(errw.String(), "bad.trace.json") {
+		t.Errorf("mixed verdicts wrong: out=%q err=%q", out.String(), errw.String())
+	}
+
+	if check([]string{filepath.Join(dir, "missing.json")}, &out, &errw) {
+		t.Error("missing file accepted")
 	}
 }

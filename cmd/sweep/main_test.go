@@ -36,9 +36,6 @@ func TestValidate(t *testing.T) {
 		{"valid faults", []string{"-exp", "faults", "-fault-rates", "1e-4,1e-3", "-fault-seed", "3"}, ""},
 		{"valid kmeans", []string{"-exp", "kmeans"}, ""},
 		{"valid par", []string{"-par", "4"}, ""},
-		{"bad shards", []string{"-shards", "-3"}, "-shards"},
-		{"valid shards", []string{"-shards", "2"}, ""},
-		{"valid shards auto", []string{"-shards", "-1"}, ""},
 		{"valid profiles", []string{"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, ""},
 		{"valid server", []string{"-server", "http://127.0.0.1:8080"}, ""},
 		{"valid server with timeout", []string{"-server", "http://127.0.0.1:8080", "-job-timeout", "30s"}, ""},
@@ -72,6 +69,16 @@ func TestValidate(t *testing.T) {
 				t.Errorf("validate(%v) = %q, want mention of %q", tc.args, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestParseFlagsUnknown confirms unknown flags, including the removed
+// -shards, fail at parse time.
+func TestParseFlagsUnknown(t *testing.T) {
+	for _, args := range [][]string{{"-frobnicate"}, {"-shards", "2"}} {
+		if _, _, err := parseFlags(args); err == nil {
+			t.Errorf("parseFlags(%v) = nil, want error", args)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc64"
 	"os"
@@ -96,20 +97,5 @@ func (c *DiskRecordCache) CompleteRecord(alg Algorithm, w Workload, res RecordRe
 	if err != nil {
 		return
 	}
-	dst := c.path(alg, w) + ".nmt3"
-	tmp, err := os.CreateTemp(c.dir, "tmp-*.nmt3")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), dst)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
+	trace.WriteFileAtomic(c.path(alg, w)+".nmt3", bytes.NewReader(data))
 }

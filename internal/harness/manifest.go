@@ -1,17 +1,18 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // The sweep checkpoint manifest: a checksummed JSON progress file holding
@@ -186,24 +187,9 @@ func (m *Manifest) writeLocked() error {
 		return fmt.Errorf("harness: marshaling manifest: %w", err)
 	}
 	raw = append(raw, '\n')
-	// Atomic replace: write a sibling temp file, fsync-free (the manifest
-	// is a cache — a lost update means re-running a cell, never a torn
-	// read), then rename over the destination.
-	tmp, err := os.CreateTemp(filepath.Dir(m.path), ".manifest-*.tmp")
-	if err != nil {
-		return fmt.Errorf("harness: writing manifest: %w", err)
-	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: writing manifest: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), m.path); err != nil {
-		os.Remove(tmp.Name())
+	// Atomic replace, fsync-free: the manifest is a cache — a lost update
+	// means re-running a cell, never a torn read.
+	if _, err := trace.WriteFileAtomic(m.path, bytes.NewReader(raw)); err != nil {
 		return fmt.Errorf("harness: writing manifest: %w", err)
 	}
 	return nil

@@ -177,18 +177,15 @@ func (sup *Supervisor) interrupted() error {
 	return *sup.stop.Load()
 }
 
+var cellCRCTable = crc64.MakeTable(crc64.ECMA)
+
 // ConfigDigest fingerprints a machine configuration for cell keying —
 // the one keying function shared by the checkpoint manifest and the
-// serving layer's result cache, so the two can never drift. Shards is
-// zeroed because sharding is result-neutral by construction (a manifest
-// written at -shards 4 must resume a -shards 0 run), and Telemetry is
+// serving layer's result cache, so the two can never drift. Telemetry is
 // zeroed because a recorder pointer has no stable rendering (telemetry
 // cells are excluded from cache use anyway). The retry policy is folded
 // in because it changes fault outcomes.
-var cellCRCTable = crc64.MakeTable(crc64.ECMA)
-
 func ConfigDigest(cfg machine.Config, retries int, retrySeed uint64) uint64 {
-	cfg.Shards = 0
 	cfg.Telemetry = nil
 	return crc64.Checksum(
 		[]byte(fmt.Sprintf("%+v|retries=%d|retryseed=%d", cfg, retries, retrySeed)),

@@ -2,10 +2,9 @@ package par
 
 // Pool is a persistent fork-join worker pool: k goroutines that park
 // between dispatches. It exists for callers that need the fork-join shape
-// of Run at a much finer grain — the sharded replay engine dispatches one
-// round per conservative time window, tens of thousands of times per
-// replay, where spawning fresh goroutines each round would dominate the
-// work being parallelized.
+// of Run at a much finer grain — many short dispatch rounds, where
+// spawning fresh goroutines each round would dominate the work being
+// parallelized.
 //
 // Do(task) runs task(0..k-1), one call per worker, and returns when all
 // have finished. The channel handoff gives the usual happens-before

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -312,5 +314,40 @@ func TestJobValidation(t *testing.T) {
 	miss := tinyJob("0000000000000001")
 	if _, _, _, err := c.SubmitJob(ctx, miss); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown digest error = %v, want 404", err)
+	}
+}
+
+// TestLegacyShardsFieldIgnored pins compatibility with clients written
+// when jobs and sweeps carried a "shards" engine option: the decoder
+// ignores unknown fields, so such bodies are accepted and answered with
+// exactly the bytes of the same request without the field.
+func TestLegacyShardsFieldIgnored(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	info := recordAndUpload(t, c)
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d: %s", path, body, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", fmt.Sprintf(`{"trace_digest":%q,"cores":16,"near_channels":16,"sp_mib":1%%s}`, info.Digest)},
+		{"/v1/sweeps", `{"exp":"dma","n":8192,"seed":7,"cores":16,"sp_mib":1%s}`},
+	} {
+		legacy := post(tc.path, fmt.Sprintf(tc.body, `,"shards":4`))
+		plain := post(tc.path, fmt.Sprintf(tc.body, ""))
+		if !bytes.Equal(legacy, plain) {
+			t.Errorf("%s: legacy shards body changed the response:\nlegacy: %s\nplain:  %s", tc.path, legacy, plain)
+		}
 	}
 }

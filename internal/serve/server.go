@@ -269,7 +269,6 @@ func (s *Server) jobConfig(req JobRequest) machine.Config {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = s.cfg.MaxEvents
 	}
-	cfg.Shards = req.Shards
 	return cfg
 }
 
@@ -286,8 +285,6 @@ func validateJob(req JobRequest) error {
 		return fmt.Errorf("serve: fault_rate %v must be in [0, 1]", req.FaultRate)
 	case req.Retries < 0:
 		return fmt.Errorf("serve: retries %d is negative", req.Retries)
-	case req.Shards < -1:
-		return fmt.Errorf("serve: shards %d is invalid", req.Shards)
 	case req.EpochPS < 0:
 		return fmt.Errorf("serve: epoch_ps %d is negative", req.EpochPS)
 	}
@@ -498,7 +495,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	wl := harness.Workload{
 		N: req.N, Seed: req.Seed, Threads: req.Cores,
 		SP: units.Bytes(req.SPMiB) * units.MiB, Dist: dist,
-		MaxEvents: req.MaxEvents, Par: req.Par, Shards: req.Shards,
+		MaxEvents: req.MaxEvents, Par: req.Par,
 		Sup: sup,
 	}
 

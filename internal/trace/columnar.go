@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -790,4 +791,33 @@ func Load(path string) (Source, error) {
 		return nil, err
 	}
 	return ReadTrace(f)
+}
+
+// WriteFileAtomic writes src to a temporary file beside path and renames it
+// over path, returning the bytes written. Every trace writer (and the sweep
+// manifest) goes through it: Open maps files MAP_SHARED, so truncating a
+// file in place would pull the bytes (or the pages: SIGBUS) out from under
+// a live mapping and any digest memoized from it. The rename swaps the
+// directory entry instead, leaving existing mappings on the old inode. On
+// error the temporary file is removed and path is untouched.
+func WriteFileAtomic(path string, src io.WriterTo) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, err
+	}
+	n, err := src.WriteTo(tmp)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return 0, err
+	}
+	return n, nil
 }
